@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/testfunc"
 )
@@ -364,7 +365,8 @@ func (w *Worker) execute(t Task) TaskResult {
 
 // draw returns the standard-normal variate at position skip of the stream
 // seeded seed — the exact value noise.NewStream(..., seed) would produce as
-// its (skip+1)-th draw. Sequential sampling of one point hits the cache and
+// its (skip+1)-th draw, by construction: both build their RNG with
+// noise.NewRand. Sequential sampling of one point hits the cache and
 // costs one variate; a re-dispatched or out-of-order task replays the stream
 // from its seed, yielding the same bits.
 func (w *Worker) draw(seed int64, skip int) float64 {
@@ -386,7 +388,7 @@ func (w *Worker) draw(seed int64, skip int) float64 {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.rng == nil || sp.pos != skip {
-		sp.rng = rand.New(rand.NewSource(seed))
+		sp.rng = noise.NewRand(seed)
 		sp.pos = 0
 		for ; sp.pos < skip; sp.pos++ {
 			sp.rng.NormFloat64()

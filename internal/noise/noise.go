@@ -202,7 +202,7 @@ type Stream struct {
 func NewStream(f, sigma0 float64, seed int64) *Stream {
 	return &Stream{
 		Accumulator: NewAccumulator(f, sigma0),
-		rng:         rand.New(rand.NewSource(seed)),
+		rng:         NewRand(seed),
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -50,4 +51,30 @@ func TestSampleBatchAllocBudget(t *testing.T) {
 		}
 		t.Logf("concurrent SampleBatch(64): %.1f allocs per call (budget %d)", allocs, budget)
 	})
+}
+
+var pointSink Point
+
+// TestNewPointByteBudget caps the heap cost of creating a point: every
+// simplex move creates fresh trial points, so this is paid per trial. At
+// dim 3 the point, its coordinates and its noise stream (noise's own budget
+// is 256 B) fit in 320 B; a stream that built math/rand's 4.9 KB register
+// up front would not.
+func TestNewPointByteBudget(t *testing.T) {
+	const runs, budget = 100, 320
+	s := NewLocalSpace(LocalConfig{Dim: 3, F: func(x []float64) float64 { return x[0] * x[0] }, Sigma0: ConstSigma(0.5), Seed: 3, Workers: 1})
+	defer s.Close()
+	x := []float64{0.5, -0.25, 1}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pointSink = s.NewPoint(x)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if per > budget {
+		t.Errorf("NewPoint at dim 3: %d B per point, budget %d B", per, budget)
+	}
+	t.Logf("NewPoint at dim 3: %.1f allocs, %d B per point", float64(after.Mallocs-before.Mallocs)/runs, per)
 }

@@ -114,3 +114,32 @@ func BenchmarkSampleAllCheap(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSampleAllCheapFresh is BenchmarkSampleAllCheap with the points
+// created inside the timed loop, each sampled once: the shape of a simplex
+// move, whose trial points are new every iteration. Point creation, noise
+// stream included, is on the clock here.
+func BenchmarkSampleAllCheapFresh(b *testing.B) {
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			s := NewLocalSpace(LocalConfig{
+				Dim:      3,
+				F:        testfunc.Rosenbrock,
+				Sigma0:   ConstSigma(10),
+				Seed:     1,
+				Parallel: true,
+				Workers:  workers,
+			})
+			defer s.Close()
+			pts := make([]Point, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range pts {
+					pts[j] = s.NewPoint([]float64{float64(j), 1, 2})
+				}
+				s.SampleAll(pts, 0.1)
+			}
+		})
+	}
+}
